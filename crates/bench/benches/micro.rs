@@ -1,13 +1,13 @@
-//! Microbenchmarks for the building blocks: prefix trie, decision
+//! Microbenchmarks for the building blocks: prefix store, decision
 //! process, wire codec, SPF, MRAI pacing, attribute interning, and the
 //! hash-backed RIB tables.
 
 use bgp_rib::{
     best_as_level, best_path, AdjRibIn, Candidate, CandidateBatch, DecisionConfig, LocRib,
+    PrefixSlab,
 };
 use bgp_types::{
-    intern, AsPath, Asn, Ipv4Prefix, Med, NextHop, PathAttributes, PrefixTrie, RouteSource,
-    RouterId,
+    intern, AsPath, Asn, Ipv4Prefix, Med, NextHop, PathAttributes, RouteSource, RouterId,
 };
 use bgp_wire::{CodecConfig, Message, Nlri, UpdateMessage};
 use bytes::BytesMut;
@@ -29,21 +29,21 @@ fn prefixes(n: usize) -> Vec<Ipv4Prefix> {
         .collect()
 }
 
-fn bench_trie(c: &mut Criterion) {
-    let mut g = c.benchmark_group("trie");
+fn bench_store(c: &mut Criterion) {
+    let mut g = c.benchmark_group("prefix_slab");
     for n in [1_000usize, 10_000, 100_000] {
         let pfx = prefixes(n);
         g.bench_with_input(BenchmarkId::new("insert", n), &pfx, |b, pfx| {
             b.iter(|| {
-                let mut t = PrefixTrie::new();
+                let mut t = PrefixSlab::new();
                 for (i, p) in pfx.iter().enumerate() {
                     t.insert(*p, i);
                 }
                 black_box(t.len())
             })
         });
-        let trie: PrefixTrie<usize> = pfx.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-        g.bench_with_input(BenchmarkId::new("longest_match", n), &trie, |b, t| {
+        let slab: PrefixSlab<usize> = pfx.iter().enumerate().map(|(i, p)| (*p, i)).collect();
+        g.bench_with_input(BenchmarkId::new("longest_match", n), &slab, |b, t| {
             let mut addr = 0u32;
             b.iter(|| {
                 addr = addr.wrapping_add(0x9E3779B9);
@@ -244,7 +244,7 @@ fn bench_rib(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_trie,
+    bench_store,
     bench_decision,
     bench_wire,
     bench_spf,

@@ -12,8 +12,9 @@
 //!
 //! Run: `cargo run --release -p abrr-bench --bin scale --
 //!       [--workload churn|failover] [--engine seq|epoch|sharded]
-//!       [--threads N] [--prefixes N] [--minutes M] [--rate EPS]
-//!       [--seed S] [--aps N] [--label L] [--out FILE]`
+//!       [--threads N] [--wire off|verify|bytes] [--prefixes N]
+//!       [--minutes M] [--rate EPS] [--seed S] [--aps N] [--label L]
+//!       [--out FILE]`
 
 use abrr::prelude::*;
 use abrr_bench::pipeline::JsonRow;
@@ -77,14 +78,16 @@ fn churn_workload(
     n_aps: usize,
     minutes: u64,
     rate: f64,
-    engine: Engine,
+    exp: &Experiment,
     stream: bool,
 ) -> Measured {
+    let engine = exp.engine;
     let opts = SpecOptions {
         mrai_us: 1_000_000,
         ..Default::default()
     };
-    let spec = Arc::new(specs::abrr_spec(model, n_aps, 2, &opts));
+    let mut spec = Arc::new(specs::abrr_spec(model, n_aps, 2, &opts));
+    exp.apply_wire(&mut spec);
     let mut sim = abrr::build_sim(spec);
     regen::replay(&mut sim, &churn::initial_snapshot(model), 1_000);
     let settle = RunLimits {
@@ -128,13 +131,15 @@ fn failover_workload(
     minutes: u64,
     rate: f64,
     seed: u64,
-    engine: Engine,
+    exp: &Experiment,
 ) -> Measured {
+    let engine = exp.engine;
     let opts = SpecOptions {
         mrai_us: 0,
         ..Default::default()
     };
-    let spec = Arc::new(specs::abrr_spec(model, n_aps, 2, &opts));
+    let mut spec = Arc::new(specs::abrr_spec(model, n_aps, 2, &opts));
+    exp.apply_wire(&mut spec);
     let mut sim = abrr::build_sim(spec.clone());
     regen::replay(&mut sim, &churn::initial_snapshot(model), 1_000);
     let settle = RunLimits {
@@ -176,9 +181,9 @@ fn failover_workload(
 
 fn main() {
     let args = Args::parse("scale", FLAGS);
-    let _obs = Experiment::from_args(&args);
+    let exp = Experiment::from_args(&args);
     let workload = args.map_get("workload").unwrap_or("churn").to_string();
-    let engine = args.engine();
+    let engine = exp.engine;
     let seed: u64 = args.get("seed", Tier1Config::default().seed);
     let n_aps: usize = args.get("aps", 8);
     let minutes: u64 = args.get("minutes", 5);
@@ -195,8 +200,8 @@ fn main() {
     let stream = args.flag("stream");
     let t = Instant::now();
     let m = match workload.as_str() {
-        "failover" => failover_workload(&model, n_aps, minutes, rate, seed, engine),
-        "churn" => churn_workload(&model, n_aps, minutes, rate, engine, stream),
+        "failover" => failover_workload(&model, n_aps, minutes, rate, seed, &exp),
+        "churn" => churn_workload(&model, n_aps, minutes, rate, &exp, stream),
         other => panic!("unknown --workload {other} (expected churn|failover)"),
     };
     let wall = t.elapsed();
@@ -216,6 +221,7 @@ fn main() {
                 _ => 0,
             },
         )
+        .str("wire", exp.wire.name())
         .usize("prefixes", n_prefixes)
         .usize("aps", n_aps)
         .u64("minutes", minutes)

@@ -9,14 +9,12 @@
 //! at experiment scale (hundreds of thousands of prefixes × dozens of
 //! routers) this is the difference between megabytes and gigabytes.
 //!
-//! Storage: every per-prefix table is a trie-indexed, slab-backed
-//! [`PrefixSlab`] (see [`crate::store`] for the layout and the single
-//! key-ordering policy). The old tables mixed `BTreeMap` peer keys with
-//! `FxHashMap` prefix keys and re-sorted snapshots at order-observable
-//! APIs; now *one* invariant covers everything:
+//! Storage: every per-prefix table is a hash-indexed [`PrefixSlab`]
+//! (see [`crate::store`] for the layout and the single key-ordering
+//! policy). *One* invariant covers every order-observable API:
 //!
-//! * prefixes iterate in lexicographic `(addr, len)` order, straight
-//!   off the trie index — [`AdjRibIn::known_prefixes`],
+//! * prefixes iterate in lexicographic `(addr, len)` order, sorted
+//!   inside the store — [`AdjRibIn::known_prefixes`],
 //!   [`AdjRibIn::drop_peer`], [`AdjRibOut::iter_group`] and
 //!   [`LocRib::iter`] need no explicit sorts;
 //! * peers within a prefix slot are kept sorted by [`RouterId`], so
@@ -183,15 +181,15 @@ impl AdjRibIn {
             .flat_map(|(peer, set)| set.iter().map(move |(id, a)| (*peer, *id, a)))
     }
 
-    /// Every prefix known from any peer, in prefix order (the trie
-    /// index is already deduplicated and ordered — no sort).
+    /// Every prefix known from any peer, in prefix order (one slot per
+    /// prefix, so already deduplicated).
     pub fn known_prefixes(&self) -> Vec<Ipv4Prefix> {
         self.table.iter().map(|(p, _)| *p).collect()
     }
 
     /// Prefixes known from any peer that overlap the inclusive address
-    /// range, in prefix order. Cost scales with the overlap, not the
-    /// table — the incremental path for Address-Partition reassignment.
+    /// range, in prefix order — the incremental path for
+    /// Address-Partition reassignment.
     pub fn known_prefixes_in(&self, range_start: u32, range_end: u32) -> Vec<Ipv4Prefix> {
         self.table
             .iter_overlapping(range_start, range_end)
@@ -205,9 +203,9 @@ impl AdjRibIn {
         self.entries
     }
 
-    /// Live trie nodes + allocated slots (occupancy gauge pair).
+    /// Occupancy gauge pair: (live entries, hash-table capacity).
     pub fn occupancy(&self) -> (usize, usize) {
-        (self.table.index_nodes(), self.table.slot_capacity())
+        self.table.occupancy()
     }
 
     /// Peers with a session (possibly route-less after withdrawals).
@@ -218,9 +216,8 @@ impl AdjRibIn {
 
 /// Loc-RIB: the router's selected route per prefix.
 ///
-/// Backed by a [`PrefixSlab`]; [`LocRib::lookup`] is a real trie walk
-/// (longest-prefix match in one descent) and [`LocRib::iter`] streams
-/// straight off the ordered index with no snapshot sort.
+/// Backed by a [`PrefixSlab`]; [`LocRib::lookup`] probes each stored
+/// prefix length once and [`LocRib::iter`] yields prefix order.
 #[derive(Clone, Debug)]
 pub struct LocRib<T> {
     table: PrefixSlab<T>,
@@ -264,8 +261,7 @@ impl<T: Clone + PartialEq> LocRib<T> {
         self.table.get(prefix)
     }
 
-    /// Longest-prefix match against a destination address (single trie
-    /// descent).
+    /// Longest-prefix match against a destination address.
     pub fn lookup(&self, addr: u32) -> Option<(Ipv4Prefix, &T)> {
         self.table.longest_match(addr)
     }
@@ -280,8 +276,7 @@ impl<T: Clone + PartialEq> LocRib<T> {
         self.table.is_empty()
     }
 
-    /// Iterates `(prefix, selection)` in prefix order, streamed from
-    /// the trie index (no snapshot sort).
+    /// Iterates `(prefix, selection)` in prefix order.
     pub fn iter(&self) -> impl Iterator<Item = (&Ipv4Prefix, &T)> {
         self.table.iter()
     }
@@ -296,9 +291,9 @@ impl<T: Clone + PartialEq> LocRib<T> {
         self.table.iter_overlapping(range_start, range_end)
     }
 
-    /// Live trie nodes + allocated slots (occupancy gauge pair).
+    /// Occupancy gauge pair: (live entries, hash-table capacity).
     pub fn occupancy(&self) -> (usize, usize) {
-        (self.table.index_nodes(), self.table.slot_capacity())
+        self.table.occupancy()
     }
 }
 
@@ -406,7 +401,7 @@ impl AdjRibOut {
 
     /// Iterates `(prefix, path set)` for one group in prefix order —
     /// this order reaches the wire during session resyncs, so it must
-    /// be deterministic. Streams off the trie index; no snapshot sort.
+    /// be deterministic.
     pub fn iter_group(&self, group: u32) -> impl Iterator<Item = (&Ipv4Prefix, &PathSet)> {
         self.groups
             .get(&group)
@@ -435,11 +430,12 @@ impl AdjRibOut {
         }
     }
 
-    /// Live trie nodes + allocated slots summed over groups (occupancy
-    /// gauge pair).
+    /// Occupancy gauge pair summed over groups: (live entries,
+    /// hash-table capacity).
     pub fn occupancy(&self) -> (usize, usize) {
-        self.groups.values().fold((0, 0), |(n, s), g| {
-            (n + g.table.index_nodes(), s + g.table.slot_capacity())
+        self.groups.values().fold((0, 0), |(n, c), g| {
+            let (gn, gc) = g.table.occupancy();
+            (n + gn, c + gc)
         })
     }
 

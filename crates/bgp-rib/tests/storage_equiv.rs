@@ -1,14 +1,17 @@
-//! Storage-equivalence sweep: the trie/slab-backed RIBs must be
-//! observably identical to the plain map layout they replaced.
+//! Storage-equivalence sweep: the hash-indexed [`PrefixSlab`] and the
+//! RIBs built on it must be observably identical to plain `BTreeMap`
+//! layouts.
 //!
-//! Each reference model here *is* the old layout — per-peer `BTreeMap`
+//! The slab itself is checked op by op against a `BTreeMap`, including
+//! its ordered walks and longest-prefix match. Each RIB reference model
+//! *is* the old layout — per-peer `BTreeMap`
 //! tables for Adj-RIB-In, one `BTreeMap` per group for Adj-RIB-Out, a
 //! `BTreeMap` for Loc-RIB — driven through the same randomized op
 //! sequences as the real structures. Equivalence covers return values
 //! (change detection) and every order-observable API, because iteration
 //! order reaches the decision process and the golden fingerprints.
 
-use bgp_rib::{AdjRibIn, AdjRibOut, LocRib, PathSet};
+use bgp_rib::{AdjRibIn, AdjRibOut, LocRib, PathSet, PrefixSlab};
 use bgp_types::{intern, Ipv4Prefix, NextHop, PathAttributes, PathId, RouterId};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -148,7 +151,97 @@ fn rib_op() -> impl Strategy<Value = RibOp> {
         })
 }
 
+/// A prefix from a small address pool, so inserts collide with removals
+/// and prefixes nest; lengths include both `/0` and `/32`.
+fn slab_prefix() -> impl Strategy<Value = Ipv4Prefix> {
+    (
+        0u32..4,
+        0u32..4,
+        prop::sample::select(vec![0u8, 1, 2, 8, 16, 23, 24, 25, 31, 32]),
+    )
+        .prop_map(|(hi, lo, len)| Ipv4Prefix::new((hi << 30) | (lo << 7) | lo, len))
+}
+
 proptest! {
+    /// The slab behaves exactly like a `BTreeMap` under random inserts,
+    /// removals and lookups; its ordered walks match the map's order and
+    /// a filtered full walk (including empty `start == end` and inverted
+    /// `start > end` ranges); longest-prefix match agrees with a linear
+    /// scan.
+    #[test]
+    fn prefix_slab_models_btreemap(
+        ops in prop::collection::vec((slab_prefix(), 0u8..4, any::<u16>()), 1..200),
+        probes in prop::collection::vec(any::<u32>(), 10),
+        bounds in prop::collection::vec((any::<u32>(), any::<u32>()), 4),
+    ) {
+        let mut slab: PrefixSlab<u16> = PrefixSlab::new();
+        let mut model: BTreeMap<Ipv4Prefix, u16> = BTreeMap::new();
+        for (p, op, v) in ops {
+            match op {
+                0 | 1 => prop_assert_eq!(slab.insert(p, v), model.insert(p, v)),
+                2 => prop_assert_eq!(slab.remove(&p), model.remove(&p)),
+                _ => {
+                    *slab.get_or_insert_with(p, || v) += 1;
+                    *model.entry(p).or_insert(v) += 1;
+                }
+            }
+            prop_assert_eq!(slab.len(), model.len());
+            prop_assert_eq!(slab.get(&p), model.get(&p));
+        }
+        for (p, v) in &model {
+            prop_assert_eq!(slab.get(p), Some(v));
+        }
+        let want: Vec<(Ipv4Prefix, u16)> = model.iter().map(|(p, v)| (*p, *v)).collect();
+        let got: Vec<(Ipv4Prefix, u16)> = slab.iter().map(|(p, v)| (*p, *v)).collect();
+        prop_assert_eq!(&got, &want, "iter order diverged");
+
+        let mut ranges: Vec<(u32, u32)> = Vec::new();
+        for (a, b) in bounds {
+            ranges.extend([(a, b), (b, a), (a, a)]);
+        }
+        ranges.extend([(0, u32::MAX), (u32::MAX, 0), (1 << 30, 1 << 30)]);
+        for (start, end) in ranges {
+            let got: Vec<(Ipv4Prefix, u16)> =
+                slab.iter_overlapping(start, end).map(|(p, v)| (*p, *v)).collect();
+            let filtered: Vec<(Ipv4Prefix, u16)> = want
+                .iter()
+                .filter(|(p, _)| p.first_addr() <= end && p.last_addr() >= start)
+                .copied()
+                .collect();
+            prop_assert_eq!(got, filtered, "range {:#x}..={:#x}", start, end);
+        }
+
+        let pool = model.keys().flat_map(|p| [p.first_addr(), p.last_addr()]);
+        for probe in probes.into_iter().chain(pool) {
+            let brute = model
+                .iter()
+                .filter(|(p, _)| p.contains_addr(probe))
+                .max_by_key(|(p, _)| p.len())
+                .map(|(p, v)| (*p, *v));
+            prop_assert_eq!(slab.longest_match(probe).map(|(p, v)| (p, *v)), brute);
+        }
+
+        // retain: visits in prefix order and removes exactly the rejected.
+        let mut visited = Vec::new();
+        let mut removed = Vec::new();
+        slab.retain(
+            |p, v| {
+                visited.push(*p);
+                *v % 2 == 0
+            },
+            |p, _| removed.push(p),
+        );
+        let keys: Vec<Ipv4Prefix> = model.keys().copied().collect();
+        prop_assert_eq!(visited, keys);
+        let odd: Vec<Ipv4Prefix> =
+            want.iter().filter(|(_, v)| v % 2 == 1).map(|(p, _)| *p).collect();
+        prop_assert_eq!(removed, odd);
+        model.retain(|_, v| *v % 2 == 0);
+        let got: Vec<(Ipv4Prefix, u16)> = slab.iter().map(|(p, v)| (*p, *v)).collect();
+        let want: Vec<(Ipv4Prefix, u16)> = model.iter().map(|(p, v)| (*p, *v)).collect();
+        prop_assert_eq!(got, want);
+    }
+
     #[test]
     fn adj_rib_in_equivalent_to_per_peer_btreemaps(ops in prop::collection::vec(rib_op(), 1..80)) {
         let mut real = AdjRibIn::new();

@@ -16,8 +16,6 @@
 //!   (ORIGIN, AS_PATH, NEXT_HOP, MED, LOCAL_PREF, communities, extended
 //!   communities, ORIGINATOR_ID, CLUSTER_LIST).
 //! * [`Route`] — a prefix plus its attributes plus provenance.
-//! * [`PrefixTrie`] — a binary (radix) trie keyed by prefix, used for RIBs
-//!   and longest-prefix matching.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +27,6 @@ pub mod intern;
 pub mod partition;
 pub mod prefix;
 pub mod route;
-pub mod trie;
 
 pub use asn::{AsPath, AsSegment, Asn};
 pub use attrs::{
@@ -40,4 +37,3 @@ pub use intern::{intern, intern_arc, intern_str, resolve_symbol, InternStats, Sy
 pub use partition::{ApId, ApMap, Partition};
 pub use prefix::{AddressRange, Ipv4Prefix, PrefixParseError};
 pub use route::{PathAttributes, PathId, Route, RouteSource, RouterId};
-pub use trie::PrefixTrie;

@@ -1,8 +1,7 @@
 //! Property-based tests for the core data structures.
 
-use bgp_types::{AddressRange, ApMap, AsPath, Asn, Ipv4Prefix, PrefixTrie};
+use bgp_types::{AddressRange, ApMap, AsPath, Asn, Ipv4Prefix};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(addr, len)| Ipv4Prefix::new(addr, len))
@@ -39,43 +38,6 @@ proptest! {
         prop_assert_eq!(a.contains(&b), by_range && a.len() <= b.len());
         // For prefixes, range inclusion implies the length condition too.
         prop_assert_eq!(a.contains(&b), by_range);
-    }
-
-    /// The trie behaves exactly like a BTreeMap under a random workload
-    /// of inserts and removals, and longest_match agrees with a linear
-    /// scan.
-    #[test]
-    fn trie_models_map(
-        ops in prop::collection::vec((arb_prefix(), any::<bool>(), any::<u16>()), 1..200),
-        probes in prop::collection::vec(any::<u32>(), 10)
-    ) {
-        let mut trie = PrefixTrie::new();
-        let mut model: BTreeMap<Ipv4Prefix, u16> = BTreeMap::new();
-        for (p, is_insert, v) in ops {
-            if is_insert {
-                prop_assert_eq!(trie.insert(p, v), model.insert(p, v));
-            } else {
-                prop_assert_eq!(trie.remove(&p), model.remove(&p));
-            }
-            prop_assert_eq!(trie.len(), model.len());
-        }
-        for (p, v) in &model {
-            prop_assert_eq!(trie.get(p), Some(v));
-        }
-        // Iteration yields exactly the model's contents, in order.
-        let from_trie: Vec<(Ipv4Prefix, u16)> = trie.iter().map(|(p, v)| (p, *v)).collect();
-        let from_model: Vec<(Ipv4Prefix, u16)> = model.iter().map(|(p, v)| (*p, *v)).collect();
-        prop_assert_eq!(from_trie, from_model);
-        // Longest-match agrees with brute force.
-        for probe in probes {
-            let brute = model
-                .iter()
-                .filter(|(p, _)| p.contains_addr(probe))
-                .max_by_key(|(p, _)| p.len())
-                .map(|(p, v)| (*p, *v));
-            let got = trie.longest_match(probe).map(|(p, v)| (p, *v));
-            prop_assert_eq!(got, brute);
-        }
     }
 
     /// Uniform AP maps assign every prefix to at least one AP, and a

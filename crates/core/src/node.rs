@@ -75,8 +75,8 @@ impl Selected {
 /// after their managed set is rebuilt, mirroring the monolith order).
 /// Nothing outside the worklist is ever re-decided — whole-prefix-space
 /// passes exist nowhere in the shell; even the §2.2 AP choreography
-/// seeds the worklist from pruned trie-range queries
-/// ([`Role::known_prefixes_in`]) instead of full-table scans.
+/// seeds the worklist from per-AP range queries
+/// ([`Role::known_prefixes_in`]).
 #[derive(Default)]
 struct Worklist {
     /// Prefixes whose ARR-role managed table changed.
@@ -276,7 +276,7 @@ impl BgpNode {
     }
 
     /// Iterates per-prefix selection-change counts, in prefix order
-    /// (streamed off the slab's trie index; no snapshot sort).
+    /// (sorted by the slab).
     pub fn all_selection_changes(&self) -> impl Iterator<Item = (&Ipv4Prefix, u64)> {
         self.ch.selection_changes.iter().map(|(p, c)| (p, *c))
     }
@@ -319,22 +319,23 @@ impl BgpNode {
         set("core.rib_in.ebgp", self.ebgp_entries());
         set("core.loc_rib", self.loc_rib_len());
         set("core.rib_out", self.rib_out_size());
-        // Storage-internals occupancy over the arena-backed tables:
-        // live trie index nodes and allocated value slots, summed over
-        // every role RIB plus the Loc-RIB and the per-group RIB-Out.
-        // Makes the memory story auditable, not just entry counts.
-        let (mut nodes, mut slots) = (0usize, 0usize);
+        // Storage-internals occupancy over the hash-indexed tables:
+        // live prefix entries and allocated hash-table capacity, summed
+        // over every role RIB plus the Loc-RIB and the per-group
+        // RIB-Out. Makes the memory story auditable, not just path
+        // counts.
+        let (mut entries, mut capacity) = (0usize, 0usize);
         for role in self.roles() {
-            let (rn, rs) = role.occupancy();
-            nodes += rn;
-            slots += rs;
+            let (e, c) = role.occupancy();
+            entries += e;
+            capacity += c;
         }
-        for (n2, s2) in [self.ch.loc_rib.occupancy(), self.ch.out.occupancy()] {
-            nodes += n2;
-            slots += s2;
+        for (e, c) in [self.ch.loc_rib.occupancy(), self.ch.out.occupancy()] {
+            entries += e;
+            capacity += c;
         }
-        set("core.store.index_nodes", nodes);
-        set("core.store.slots", slots);
+        set("core.store.entries", entries);
+        set("core.store.capacity", capacity);
     }
 
     /// The ARR-role paths currently stored from `peer` for `prefix`.
@@ -512,8 +513,8 @@ impl BgpNode {
 
         // Re-run every covered prefix: the client function re-feeds the
         // (possibly new) ARRs, and a gaining ARR reflects its managed
-        // set as it arrives. Seeded by pruned trie-range queries over
-        // the AP's address ranges, not a full-table scan.
+        // set as it arrives. Seeded by range queries over the AP's
+        // address ranges.
         todo.extend(self.prefixes_covered_by(ap));
         for p in todo {
             if is_now_arr {
@@ -523,8 +524,8 @@ impl BgpNode {
         }
     }
 
-    /// Every known prefix covered by `ap`, gathered incrementally: one
-    /// pruned trie-range walk per AP address range per role. Exact —
+    /// Every known prefix covered by `ap`: one range-overlap query per
+    /// AP address range per role. Exact —
     /// `Partition::covers` is "overlaps any range", which is precisely
     /// the union of the per-range overlap queries.
     fn prefixes_covered_by(&self, ap: ApId) -> BTreeSet<Ipv4Prefix> {
@@ -665,8 +666,7 @@ impl Protocol for BgpNode {
             }
             ExternalEvent::CutoverAp(ap) => {
                 if self.ch.accept_abrr.insert(ap) {
-                    // Re-evaluate every prefix the cutover AP covers —
-                    // pruned trie-range gathering, not a full scan.
+                    // Re-evaluate every prefix the cutover AP covers.
                     for p in self.prefixes_covered_by(ap) {
                         self.recompute(ctx, p);
                     }

@@ -152,8 +152,8 @@ impl ArrRole {
         self.arr_aps.retain(|a| *a != ap);
         let peers: Vec<RouterId> = self.arr_in.peers().collect();
         // Evict managed routes no remaining AP covers, gathering the
-        // lost AP's prefixes by pruned trie-range walk (range overlap
-        // is exactly `Partition::covers`), not a full-table scan.
+        // lost AP's prefixes by range-overlap query (range overlap is
+        // exactly `Partition::covers`).
         let mut covered: std::collections::BTreeSet<Ipv4Prefix> = std::collections::BTreeSet::new();
         for r in ch.ap_ranges(ap) {
             covered.extend(self.arr_in.known_prefixes_in(r.start(), r.end()));

@@ -28,8 +28,8 @@ struct EbgpRoute {
 /// consults.
 pub struct BorderRole {
     /// eBGP Adj-RIB-In: prefix → (peer_addr → route). The outer table
-    /// is a trie-indexed slab (lexicographic prefix iteration, pruned
-    /// range queries); the inner map stays ordered because peer order
+    /// is a hash-indexed slab (lexicographic prefix iteration, range
+    /// queries); the inner map stays ordered because peer order
     /// reaches the decision process's candidate list.
     ebgp_in: PrefixSlab<BTreeMap<u32, EbgpRoute>>,
     /// Distinct eBGP session addresses ever seen (sessions outlive the
@@ -233,7 +233,7 @@ impl Role for BorderRole {
     }
 
     fn occupancy(&self) -> (usize, usize) {
-        (self.ebgp_in.index_nodes(), self.ebgp_in.slot_capacity())
+        self.ebgp_in.occupancy()
     }
 
     fn drop_peer(&mut self, _peer: RouterId) -> Vec<Ipv4Prefix> {

@@ -126,9 +126,8 @@ impl ClientRole {
         ap: bgp_types::ApId,
         arr: RouterId,
     ) -> Vec<Ipv4Prefix> {
-        // Gather the AP's covered prefixes by pruned trie-range walk
-        // (range overlap is exactly `Partition::covers`), not a
-        // full-table scan.
+        // Gather the AP's covered prefixes by range-overlap query
+        // (range overlap is exactly `Partition::covers`).
         let mut covered: std::collections::BTreeSet<Ipv4Prefix> = std::collections::BTreeSet::new();
         for r in ch.ap_ranges(ap) {
             covered.extend(self.client_in.known_prefixes_in(r.start(), r.end()));

@@ -208,7 +208,7 @@ impl Chassis {
     }
 
     /// The address ranges of partition `ap` (empty when no AP map or
-    /// unknown id) — the keys for pruned trie-range RIB queries.
+    /// unknown id) — the keys for range-overlap RIB queries.
     pub(crate) fn ap_ranges(&self, ap: ApId) -> Vec<bgp_types::AddressRange> {
         self.spec
             .ap_map
@@ -546,12 +546,12 @@ pub trait Role {
 
     /// The prefixes this role holds state for that overlap the
     /// inclusive address range `[range_start, range_end]`, in prefix
-    /// order. The incremental path for Address-Partition choreography:
-    /// cost scales with the overlap (pruned trie-range walk), not the
-    /// table size.
+    /// order. The path for Address-Partition choreography: one
+    /// range-overlap query per AP range instead of per-prefix
+    /// `Partition::covers` tests.
     fn known_prefixes_in(&self, range_start: u32, range_end: u32) -> Vec<Ipv4Prefix>;
 
-    /// `(trie index nodes, allocated value slots)` across this role's
+    /// `(live prefix entries, hash-table capacity)` across this role's
     /// storage — the occupancy pair behind the `core.store.*` gauges.
     fn occupancy(&self) -> (usize, usize);
 
